@@ -211,9 +211,7 @@ def verify_zoo_bit_identity(
 
             # mode 4 — lowered over two OS processes and a TCP socket
             if include_tcp:
-                tcp = run_two_process_inference(
-                    spec, servable.weights, x, seed=seed, optimize=True, lower=True
-                )
+                tcp = run_two_process_inference(spec, servable.weights, x, seed=seed)
                 tcp_logits = tcp.logits
                 tcp_fused = tcp.fused_kernel_calls
             else:

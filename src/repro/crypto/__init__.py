@@ -50,7 +50,6 @@ from repro.crypto.kernels import (
     active_kernels,
     arena_for,
     clear_arenas,
-    clear_executors,
     register_kernel,
 )
 from repro.crypto.passes import (
@@ -64,8 +63,9 @@ from repro.crypto.passes import (
     lower_plan,
     optimize_plan,
     schedule_rounds,
+    serving_plan,
 )
-from repro.crypto.scheduler import run_scheduled_plan
+from repro.crypto.scheduler import OnlineExecution, run_plan
 from repro.crypto.ring import DEFAULT_RING, PAPER_RING, FixedPointRing
 from repro.crypto.stats import ProtocolStatistics, collect_statistics
 from repro.crypto.sharing import (
@@ -117,14 +117,15 @@ __all__ = [
     "active_kernels",
     "arena_for",
     "clear_arenas",
-    "clear_executors",
     "register_kernel",
     "dead_op_elimination",
     "levelize",
     "lower_plan",
     "optimize_plan",
     "schedule_rounds",
-    "run_scheduled_plan",
+    "serving_plan",
+    "run_plan",
+    "OnlineExecution",
     "CommEvent",
     "open_ring_event",
     "open_bits_event",

@@ -16,10 +16,7 @@ handlers.  This module is the kernel layer that stage binds to:
   two separate calls);
 - a per-``(plan, batch)`` :class:`WorkspaceArena` owns the im2col/padding
   scratch and the encoded-weight constants, so a warm server re-allocates
-  nothing on the serving path;
-- an opt-in **thread fan-out** (:envvar:`REPRO_KERNEL_THREADS`) splits the
-  batch dimension of the large stacked matmuls across worker threads —
-  disjoint output slices, so the result stays bit-identical.
+  nothing on the serving path.
 
 Every kernel is exact modulo :math:`2^{64}`: it performs the same uint64
 operations as the reference protocol code, only without the intermediate
@@ -37,10 +34,7 @@ or when no :class:`KernelContext` is active on the
 
 from __future__ import annotations
 
-import atexit
-import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -191,17 +185,12 @@ def clear_arenas() -> None:
 class KernelContext:
     """Per-execution kernel state the scheduler attaches to the 2PC context.
 
-    ``enabled=False`` keeps the context inert — every protocol entry point
-    then takes its reference path, which is how the lowering pass is
-    switched off without recompiling.  ``thread_workers`` is the opt-in
-    fan-out width for the large stacked matmuls (0 = single-threaded).
-    ``fused_calls`` counts fused-kernel invocations for the profile
-    counters surfaced in engine results and serving stats.
+    While one is installed the protocol entry points take their fused paths;
+    ``fused_calls`` counts fused-kernel invocations for the profile counters
+    surfaced in engine results and serving stats.
     """
 
     arena: WorkspaceArena = field(default_factory=WorkspaceArena)
-    enabled: bool = True
-    thread_workers: int = 0
     fused_calls: int = 0
 
     def count(self, n: int = 1) -> None:
@@ -210,102 +199,7 @@ class KernelContext:
 
 def active_kernels(ctx) -> Optional[KernelContext]:
     """The context's kernel state, or None when fused execution is off."""
-    kc = getattr(ctx, "kernels", None)
-    if kc is None or not kc.enabled:
-        return None
-    return kc
-
-
-def default_thread_workers() -> int:
-    """Opt-in fan-out width from :envvar:`REPRO_KERNEL_THREADS` (default 0)."""
-    try:
-        return max(int(os.environ.get("REPRO_KERNEL_THREADS", "0")), 0)
-    except ValueError:
-        return 0
-
-
-_EXECUTOR: Optional[ThreadPoolExecutor] = None
-_EXECUTOR_WORKERS = 0
-_EXECUTOR_LOCK = threading.Lock()
-
-#: minimum uint64 elements of a stacked matmul before the fan-out engages
-FANOUT_MIN_ELEMENTS = 1 << 16
-
-
-def _fanout_submit(workers: int, tasks) -> "list[Future]":
-    """Submit ``tasks`` to the shared fan-out pool, growing it if needed.
-
-    One process-wide executor serves every worker count: a pool only spawns
-    threads on demand, so a pool sized for the largest count ever requested
-    handles smaller fan-outs for free.  Growing swaps the pool and shuts the
-    old one down (``shutdown(wait=False)`` lets its in-flight tasks finish);
-    submission happens under the lock so a concurrent caller can never
-    submit into a pool that was just retired.
-    """
-    global _EXECUTOR, _EXECUTOR_WORKERS
-    with _EXECUTOR_LOCK:
-        if _EXECUTOR is None or _EXECUTOR_WORKERS < workers:
-            old = _EXECUTOR
-            _EXECUTOR = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="kernel-fanout"
-            )
-            _EXECUTOR_WORKERS = workers
-            if old is not None:
-                old.shutdown(wait=False)
-        return [_EXECUTOR.submit(task) for task in tasks]
-
-
-def clear_executors() -> None:
-    """Shut down the fan-out thread pool (reconfiguration / test isolation)."""
-    global _EXECUTOR, _EXECUTOR_WORKERS
-    with _EXECUTOR_LOCK:
-        if _EXECUTOR is not None:
-            _EXECUTOR.shutdown(wait=False)
-        _EXECUTOR = None
-        _EXECUTOR_WORKERS = 0
-
-
-atexit.register(clear_executors)
-
-
-def _batched_matmul(a: np.ndarray, b: np.ndarray, threads: int) -> np.ndarray:
-    """``a @ b`` over uint64, optionally fanned out along ``b``'s batch axis.
-
-    ``a`` broadcasts along the batch axis (``a.shape[0] == 1``); each worker
-    writes a disjoint batch slice of the preallocated output, so the fanned
-    result is element-for-element the single-threaded one.
-    """
-    with np.errstate(over="ignore"):
-        if (
-            threads <= 1
-            or b.ndim < 3
-            or b.shape[0] < 2
-            or b.size < FANOUT_MIN_ELEMENTS
-        ):
-            return np.matmul(a, b)
-        batch = b.shape[0]
-        out_shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (
-            a.shape[-2],
-            b.shape[-1],
-        )
-        out = np.empty(out_shape, dtype=np.uint64)
-        workers = min(threads, batch)
-        bounds = [batch * i // workers for i in range(workers + 1)]
-
-        def run(lo: int, hi: int) -> Callable[[], None]:
-            def task() -> None:
-                with np.errstate(over="ignore"):
-                    np.matmul(a, b[lo:hi], out=out[lo:hi])
-
-            return task
-
-        futures = _fanout_submit(
-            workers,
-            [run(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo],
-        )
-        for future in futures:
-            future.result()
-        return out
+    return getattr(ctx, "kernels", None)
 
 
 # --------------------------------------------------------------------------- #
@@ -461,7 +355,6 @@ def stacked_matmul(
     share1: np.ndarray,
     w_enc_t: np.ndarray,
     arena: Optional[WorkspaceArena] = None,
-    threads: int = 0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Both share lanes through one ``(2N, K) @ (K, M)`` ring matmul.
 
@@ -488,7 +381,6 @@ def stacked_conv2d(
     padding: int = 0,
     groups: int = 1,
     arena: Optional[WorkspaceArena] = None,
-    threads: int = 0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Both share lanes through one im2col convolution over a ``2N`` batch.
 
@@ -535,8 +427,7 @@ def stacked_conv2d(
             (2 * n, ic * kh * kw, oh * ow),
         )
         np.copyto(cols.reshape(2 * n, ic, kh, kw, oh, ow), windows)
-        w_mat = w_enc.reshape(oc, ic * kh * kw)
-        out = _batched_matmul(w_mat[None, :, :], cols, threads)
+        w_mat = w_enc.reshape(oc, ic * kh * kw)[None, :, :]
     else:
         ocg = oc // groups
         cols, _ = arena.get(
@@ -544,7 +435,7 @@ def stacked_conv2d(
             (2 * n, groups, icg * kh * kw, oh * ow),
         )
         np.copyto(cols.reshape(2 * n, ic, kh, kw, oh, ow), windows)
-        w_mat = w_enc.reshape(groups, ocg, icg * kh * kw)
-        out = _batched_matmul(w_mat[None, :, :, :], cols, threads)
-    out = out.reshape(2 * n, oc, oh, ow)
+        w_mat = w_enc.reshape(groups, ocg, icg * kh * kw)[None, :, :, :]
+    with np.errstate(over="ignore"):
+        out = np.matmul(w_mat, cols).reshape(2 * n, oc, oh, ow)
     return out[:n], out[n:]

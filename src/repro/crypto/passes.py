@@ -23,7 +23,7 @@ The scheduled plan preserves the base plan's byte accounting exactly — only
 the round structure changes — and
 :attr:`ScheduledPlan.manifest` recomputes the exact per-round byte trace for
 the optimized schedule.  Executing a scheduled plan
-(:func:`repro.crypto.scheduler.run_scheduled_plan`) is bit-identical to the
+(:func:`repro.crypto.scheduler.run_plan`) is bit-identical to the
 sequential execution of the unoptimized plan for chain-structured models
 (every model in the zoo): the dealer stream is partitioned per op in
 manifest order, so each op consumes exactly the randomness it would have
@@ -42,9 +42,12 @@ from repro.crypto.plan import (
     PlanOp,
     PreprocessingManifest,
     RoundTrace,
+    compile_plan,
     round_trace_messages,
 )
 from repro.crypto.protocols.registry import group_direction_totals, trace_rounds
+from repro.crypto.ring import FixedPointRing
+from repro.models.specs import ModelSpec
 
 #: serialization format tag of :meth:`ScheduledPlan.to_dict`
 SCHEDULED_PLAN_FORMAT = "scheduled-plan/v1"
@@ -449,3 +452,14 @@ def optimize_plan(
         applied_passes=names + ("levelize", "schedule-rounds"),
     )
     return lower_plan(splan) if lower else splan
+
+
+def serving_plan(spec: ModelSpec, batch_size: int, ring: FixedPointRing) -> LoweredPlan:
+    """The plan every serving path executes: compiled, optimized, lowered.
+
+    Party jobs, persistent party servers and the plan cache all compile
+    through here, so the round-coalescing schedule and the fused kernels
+    are the one production execution mode.
+    """
+    plan = compile_plan(spec, batch_size=batch_size, ring=ring)
+    return optimize_plan(plan, lower=True)

@@ -141,7 +141,6 @@ def secure_conv2d_public_weight(
             padding=padding,
             groups=groups,
             arena=arena,
-            threads=kc.thread_workers,
         )
         out0, out1 = KERNELS["truncate-pair"](ring, out0, out1)
         if bias is not None:
@@ -203,9 +202,7 @@ def secure_linear_public_weight(
             (weight,),
             lambda: ring.encode(weight).T,
         )
-        out0, out1 = KERNELS["stacked-matmul"](
-            x.share0, x.share1, w_enc, arena=arena, threads=kc.thread_workers
-        )
+        out0, out1 = KERNELS["stacked-matmul"](x.share0, x.share1, w_enc, arena=arena)
         out0, out1 = KERNELS["truncate-pair"](ring, out0, out1)
         if bias is not None:
             b_enc = arena.cached(

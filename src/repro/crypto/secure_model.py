@@ -1,8 +1,9 @@
 """End-to-end 2PC private inference over a derived PASNet architecture.
 
 The :class:`SecureInferenceEngine` executes a model specification under
-simulated 2PC in one of two modes, both dispatching every layer through the
-protocol registry (:mod:`repro.crypto.protocols.registry`):
+simulated 2PC in one of two modes, both driven by the one online executor
+(:func:`repro.crypto.scheduler.run_plan`), which dispatches every layer
+through the protocol registry (:mod:`repro.crypto.protocols.registry`):
 
 - **interpretive** (:meth:`SecureInferenceEngine.run`): walk the spec layer
   by layer, pulling correlated randomness lazily from the live
@@ -29,7 +30,6 @@ transfers are not part of the online communication.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -38,11 +38,10 @@ import numpy as np
 from repro.crypto.context import TwoPartyContext, make_context
 from repro.crypto.dealer import RandomnessPool
 from repro.crypto.events import bytes_saved_pct as _bytes_saved_pct
-from repro.crypto.passes import ScheduledPlan, optimize_plan
-from repro.crypto.plan import InferencePlan, compile_plan
-from repro.crypto.protocols.registry import get_handler
-from repro.crypto.scheduler import run_scheduled_plan
-from repro.crypto.sharing import SharePair, reconstruct, share
+from repro.crypto.passes import optimize_plan, serving_plan
+from repro.crypto.plan import PreprocessingManifest, compile_plan
+from repro.crypto.scheduler import OnlineExecution, run_plan
+from repro.crypto.sharing import reconstruct, share
 from repro.models.specs import ModelSpec
 
 
@@ -112,14 +111,15 @@ class SecureInferenceEngine:
         graph and a :class:`~repro.crypto.passes.ScheduledPlan` is returned;
         executing it coalesces independent openings into shared rounds.
         ``lower=True`` (implies ``optimize``) additionally binds the schedule
-        to the fused local-compute kernels, returning a
-        :class:`~repro.crypto.passes.LoweredPlan` — same wire behavior,
+        to the fused local-compute kernels, returning the
+        :class:`~repro.crypto.passes.LoweredPlan` every serving path runs
+        (:func:`repro.crypto.passes.serving_plan`) — same wire behavior,
         bit-identical logits, fewer numpy passes per op.
         """
+        if lower:
+            return serving_plan(spec, batch_size, self.ctx.ring)
         plan = compile_plan(spec, batch_size=batch_size, ring=self.ctx.ring)
-        if optimize or lower:
-            return optimize_plan(plan, lower=lower)
-        return plan
+        return optimize_plan(plan) if optimize else plan
 
     def preprocess(self, plan) -> RandomnessPool:
         """Generate the plan's correlated randomness from the live dealer."""
@@ -170,57 +170,11 @@ class SecureInferenceEngine:
             pool = self.preprocess(plan)
 
         ctx = self.ctx
-        dealer = ctx.dealer
-        ctx.dealer = pool  # online phase: serve randomness, never generate
-        profile: Dict[str, object] = {}
-        try:
-            ctx.reset_communication()
-            shared = share(inputs, ctx.ring, ctx.rng)
-            cache: Dict[str, SharePair] = {}
-            if isinstance(plan, ScheduledPlan):
-                shared, per_layer = run_scheduled_plan(
-                    ctx, plan, weights, shared, cache, profile=profile
-                )
-            else:
-                per_layer = {}
-                per_op_cpu: Dict[str, int] = {}
-                clock = time.perf_counter_ns
-                for op in plan.ops:
-                    before = ctx.communication_bytes
-                    handler = get_handler(op.kind)
-                    started = clock()
-                    shared = handler.execute(
-                        ctx, op.layer, weights.get(op.name, {}), shared, cache
-                    )
-                    per_op_cpu[op.name] = clock() - started
-                    cache[op.name] = shared
-                    per_layer[op.name] = ctx.communication_bytes - before
-                profile = {
-                    "per_op_cpu_ns": per_op_cpu,
-                    "cpu_time_ns": sum(per_op_cpu.values()),
-                    "fused_kernel_calls": 0,
-                }
-            logits = reconstruct(shared)
-        finally:
-            ctx.dealer = dealer
-
-        manifest = plan.manifest
-        return SecureInferenceResult(
-            logits=logits,
-            communication_bytes=ctx.communication_bytes,
-            communication_rounds=ctx.communication_rounds,
-            per_layer_bytes=per_layer,
-            batch_size=plan.batch_size,
-            offline_material_bytes=manifest.material_bytes,
-            offline_triple_elements=manifest.triple_elements,
-            offline_square_pair_elements=manifest.square_pair_elements,
-            offline_bit_triple_elements=manifest.bit_triple_elements,
-            offline_dabit_elements=manifest.dabit_elements,
-            communication_unpacked_bytes=ctx.channel.log.total_unpacked_bytes,
-            cpu_time_ns=int(profile.get("cpu_time_ns", 0)),
-            per_op_cpu_ns=dict(profile.get("per_op_cpu_ns", {})),
-            fused_kernel_calls=int(profile.get("fused_kernel_calls", 0)),
-        )
+        ctx.reset_communication()
+        shared = share(inputs, ctx.ring, ctx.rng)
+        # online phase: the pool serves every draw, the dealer generates nothing
+        run = run_plan(ctx, plan, weights, shared, pool=pool)
+        return self._result(ctx, run, plan.batch_size, plan.manifest)
 
     # ------------------------------------------------------------------ #
     # Interpretive mode (lazy dealer, reference semantics)
@@ -248,24 +202,36 @@ class SecureInferenceEngine:
         ctx.reset_communication()
         inputs = np.asarray(inputs, dtype=np.float64)
         shared = share(inputs, ctx.ring, ctx.rng)
-        per_layer: Dict[str, int] = {}
-        cache: Dict[str, SharePair] = {}
+        run = run_plan(ctx, spec, weights, shared)
+        return self._result(ctx, run, int(inputs.shape[0]))
 
-        for layer in spec.layers:
-            before = ctx.communication_bytes
-            handler = get_handler(layer.kind)
-            shared = handler.execute(
-                ctx, layer, weights.get(layer.name, {}), shared, cache
+    @staticmethod
+    def _result(
+        ctx: TwoPartyContext,
+        run: OnlineExecution,
+        batch_size: int,
+        manifest: Optional[PreprocessingManifest] = None,
+    ) -> SecureInferenceResult:
+        """Package one online execution with the context's communication log
+        (and, for compiled runs, the plan's offline cost)."""
+        offline = {}
+        if manifest is not None:
+            offline = dict(
+                offline_material_bytes=manifest.material_bytes,
+                offline_triple_elements=manifest.triple_elements,
+                offline_square_pair_elements=manifest.square_pair_elements,
+                offline_bit_triple_elements=manifest.bit_triple_elements,
+                offline_dabit_elements=manifest.dabit_elements,
             )
-            cache[layer.name] = shared
-            per_layer[layer.name] = ctx.communication_bytes - before
-
-        logits = reconstruct(shared)
         return SecureInferenceResult(
-            logits=logits,
+            logits=reconstruct(run.output),
             communication_bytes=ctx.communication_bytes,
             communication_rounds=ctx.communication_rounds,
-            per_layer_bytes=per_layer,
-            batch_size=int(inputs.shape[0]),
+            per_layer_bytes=run.per_op_bytes,
+            batch_size=batch_size,
             communication_unpacked_bytes=ctx.channel.log.total_unpacked_bytes,
+            cpu_time_ns=run.cpu_time_ns,
+            per_op_cpu_ns=run.per_op_cpu_ns,
+            fused_kernel_calls=run.fused_kernel_calls,
+            **offline,
         )

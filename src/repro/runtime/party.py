@@ -58,11 +58,9 @@ from repro.crypto.channel import PartyChannel
 from repro.crypto.context import TwoPartyContext
 from repro.crypto.dealer import RandomnessPool, TrustedDealer
 from repro.crypto.events import bytes_saved_pct as _bytes_saved_pct
-from repro.crypto.passes import ScheduledPlan, optimize_plan
-from repro.crypto.plan import InferencePlan, compile_plan
-from repro.crypto.protocols.registry import get_handler
+from repro.crypto.passes import serving_plan
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
-from repro.crypto.scheduler import run_scheduled_plan
+from repro.crypto.scheduler import predicted_rounds, run_plan
 from repro.crypto.sharing import SharePair
 from repro.crypto.transport import TcpListener, TransportEndpoint, WireStats
 from repro.models.specs import ModelSpec
@@ -72,9 +70,9 @@ from repro.models.specs import ModelSpec
 class PartyJob:
     """Everything one party needs to join a two-process inference session.
 
-    ``optimize=True`` (the default) runs the optimizer pass pipeline after
-    compilation and executes the round-coalescing schedule; both parties
-    must agree on the flag (it is part of the job, so they do).
+    Both parties compile the job into the same serving plan
+    (:func:`repro.crypto.passes.serving_plan`) and execute its
+    round-coalescing, kernel-lowered schedule.
     """
 
     spec: ModelSpec
@@ -83,10 +81,6 @@ class PartyJob:
     seed: int
     input_share: np.ndarray
     ring: FixedPointRing = DEFAULT_RING
-    optimize: bool = True
-    #: bind the optimized schedule to fused local-compute kernels
-    #: (:func:`repro.crypto.passes.lower_plan`); logits stay bit-identical
-    lower: bool = True
 
 
 @dataclass
@@ -149,30 +143,19 @@ def predicted_direction_bytes(plan, sender: int) -> int:
     )
 
 
-def predicted_rounds(plan) -> int:
-    """The round count executing ``plan`` must log.
-
-    A :class:`~repro.crypto.passes.ScheduledPlan` executes coalesced, so its
-    scheduled count applies; a bare :class:`InferencePlan` executes
-    sequentially and must match the legacy trace-derived count.
-    """
-    if isinstance(plan, ScheduledPlan):
-        return plan.online_rounds
-    return plan.legacy_online_rounds
-
-
 def verify_against_plan(
     plan, execution: PartyExecution, stats: WireStats
 ) -> None:
     """Assert the measured traffic equals the plan's static prediction.
 
-    ``plan`` is the executed artifact — an :class:`InferencePlan` for the
-    sequential path or a :class:`~repro.crypto.passes.ScheduledPlan` for the
-    round-coalescing path; byte predictions are identical, round predictions
-    are mode-specific (see :func:`predicted_rounds`).  Checks three layers
-    of accounting against the manifest: the party's communication log (both
-    directions), the payload bytes its transport actually serialized onto
-    the wire, and the payload bytes it received.
+    ``plan`` is the executed artifact — a
+    :class:`~repro.crypto.plan.InferencePlan` for the sequential path or a
+    :class:`~repro.crypto.passes.ScheduledPlan` for the round-coalescing
+    path; byte predictions are identical, round predictions are
+    mode-specific (see :func:`repro.crypto.scheduler.predicted_rounds`).
+    Checks three layers of accounting against the manifest: the party's
+    communication log (both directions), the payload bytes its transport
+    actually serialized onto the wire, and the payload bytes it received.
     """
     party = execution.party
     checks = [
@@ -208,10 +191,11 @@ def execute_plan_as_party(
 ) -> PartyExecution:
     """Run the online phase of ``plan`` holding only ``party``'s share-world.
 
-    ``plan`` is either a bare :class:`InferencePlan` (sequential reference
-    execution) or a :class:`~repro.crypto.passes.ScheduledPlan`
-    (round-coalescing execution over multi-tensor round frames) — the
-    reconstructed logits are bit-identical either way.
+    ``plan`` is anything :func:`repro.crypto.scheduler.run_plan` executes:
+    the serving path's :class:`~repro.crypto.passes.LoweredPlan`
+    (round-coalescing execution over multi-tensor round frames), or a bare
+    :class:`~repro.crypto.plan.InferencePlan` (the sequential reference) —
+    the reconstructed logits are bit-identical either way.
 
     ``ctx.channel`` must be a :class:`PartyChannel` for the same party (or a
     simulated channel in tests).  ``input_share`` is this party's additive
@@ -237,49 +221,18 @@ def execute_plan_as_party(
     else:
         shared = SharePair(zeros, input_share, ring)
 
-    dealer = ctx.dealer
-    ctx.dealer = pool
-    profile: Dict[str, object] = {}
-    try:
-        ctx.reset_communication()
-        cache: Dict[str, SharePair] = {}
-        if isinstance(plan, ScheduledPlan):
-            shared, per_layer = run_scheduled_plan(
-                ctx, plan, weights, shared, cache, profile=profile
-            )
-        else:
-            per_layer = {}
-            per_op_cpu: Dict[str, int] = {}
-            clock = time.perf_counter_ns
-            for op in plan.ops:
-                before = ctx.communication_bytes
-                handler = get_handler(op.kind)
-                started = clock()
-                shared = handler.execute(
-                    ctx, op.layer, weights.get(op.name, {}), shared, cache
-                )
-                per_op_cpu[op.name] = clock() - started
-                cache[op.name] = shared
-                per_layer[op.name] = ctx.communication_bytes - before
-            profile = {
-                "per_op_cpu_ns": per_op_cpu,
-                "cpu_time_ns": sum(per_op_cpu.values()),
-                "fused_kernel_calls": 0,
-            }
-        logit_share = shared.share0 if party == 0 else shared.share1
-    finally:
-        ctx.dealer = dealer
-
+    ctx.reset_communication()
+    run = run_plan(ctx, plan, weights, shared, pool=pool)
     return PartyExecution(
         party=party,
-        logit_share=logit_share,
+        logit_share=run.output.share0 if party == 0 else run.output.share1,
         communication_bytes=ctx.communication_bytes,
         communication_rounds=ctx.communication_rounds,
-        per_layer_bytes=per_layer,
+        per_layer_bytes=run.per_op_bytes,
         unpacked_bytes=ctx.channel.log.total_unpacked_bytes,
-        cpu_time_ns=int(profile.get("cpu_time_ns", 0)),
-        per_op_cpu_ns=dict(profile.get("per_op_cpu_ns", {})),
-        fused_kernel_calls=int(profile.get("fused_kernel_calls", 0)),
+        cpu_time_ns=run.cpu_time_ns,
+        per_op_cpu_ns=run.per_op_cpu_ns,
+        fused_kernel_calls=run.fused_kernel_calls,
     )
 
 
@@ -300,9 +253,7 @@ def run_party_session(
         ctx = TwoPartyContext(ring=job.ring, seed=job.seed, channel=channel)
 
         offline_start = time.perf_counter()
-        plan = compile_plan(job.spec, batch_size=job.batch_size, ring=job.ring)
-        if job.optimize:
-            plan = optimize_plan(plan, lower=getattr(job, "lower", True))
+        plan = serving_plan(job.spec, job.batch_size, job.ring)
         dealer = TrustedDealer(ring=job.ring, seed=job.seed)
         pool = dealer.preprocess(plan).restrict_to_party(party)
         offline_seconds = time.perf_counter() - offline_start

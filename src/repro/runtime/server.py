@@ -48,7 +48,7 @@ import numpy as np
 from repro.crypto.channel import PartyChannel
 from repro.crypto.context import TwoPartyContext
 from repro.crypto.dealer import RandomnessPool, TrustedDealer
-from repro.crypto.passes import optimize_plan
+from repro.crypto.passes import serving_plan
 from repro.crypto.plan import compile_plan
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
 from repro.crypto.transport import (
@@ -88,9 +88,10 @@ def derive_job_seed(base_seed: int, model: str, batch_size: int, counter: int) -
 class ServerConfig:
     """Everything a party server needs to boot, sent once over the pipe.
 
-    ``coalesce_rounds`` selects the round-coalescing schedule (default) or
-    the sequential reference execution for every plan the server compiles;
-    both parties receive the same config, so they always agree.
+    ``coalesce_rounds`` selects the serving plan (round-coalescing and
+    kernel-lowered, the default) or the sequential reference execution for
+    every plan the server compiles; both parties receive the same config,
+    so they always agree.
     """
 
     base_seed: int
@@ -103,10 +104,6 @@ class ServerConfig:
     ring: FixedPointRing = DEFAULT_RING
     verify: bool = True
     coalesce_rounds: bool = True
-    #: bind coalesced plans to fused local-compute kernels (same wire
-    #: behavior, bit-identical logits, fewer numpy passes per op); only
-    #: meaningful with ``coalesce_rounds``
-    lower_local_compute: bool = True
     #: per-party link shaping / scripted fault schedules: the party's
     #: transport is wrapped in a :class:`FaultyTransport` right after the
     #: connection opens.  ``None`` (or a missing party key) means a clean
@@ -280,7 +277,7 @@ class ServerStats:
 
 @dataclass
 class _PlanEntry:
-    #: the executed artifact: a ScheduledPlan (coalesce_rounds) or a bare
+    #: the executed artifact: a LoweredPlan (coalesce_rounds) or a bare
     #: InferencePlan (sequential reference mode)
     plan: object
     #: FIFO of (counter, party-restricted pool); counters strictly increase
@@ -340,11 +337,10 @@ class PartyServer:
                 f"party {self.party}: unknown model {model!r}; "
                 f"registered: {sorted(self.config.models)}"
             )
-        plan = compile_plan(spec, batch_size=batch_size, ring=self.ring)
         if self.config.coalesce_rounds:
-            plan = optimize_plan(
-                plan, lower=getattr(self.config, "lower_local_compute", True)
-            )
+            plan = serving_plan(spec, batch_size, self.ring)
+        else:
+            plan = compile_plan(spec, batch_size=batch_size, ring=self.ring)
         manifest = getattr(plan, "manifest", None)
         with self._lock:
             entry = self._entries.setdefault(key, _PlanEntry(plan=plan, manifest=manifest))

@@ -19,8 +19,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.crypto.events import bytes_saved_pct as _bytes_saved_pct
-from repro.crypto.passes import optimize_plan
-from repro.crypto.plan import compile_plan
+from repro.crypto.passes import serving_plan
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
 from repro.crypto.sharing import share
 from repro.models.specs import ModelSpec
@@ -31,9 +30,8 @@ from repro.runtime.party import PartyJob, PartyReport, run_party_worker
 class TwoProcessResult:
     """Reconstructed output and verified accounting of one socket session.
 
-    ``plan`` is the artifact the parties executed: a
-    :class:`~repro.crypto.passes.ScheduledPlan` by default, or the bare
-    :class:`~repro.crypto.plan.InferencePlan` when ``optimize=False``.
+    ``plan`` is the artifact the parties executed: the serving path's
+    :class:`~repro.crypto.passes.LoweredPlan`.
     """
 
     logits: np.ndarray
@@ -128,8 +126,6 @@ def run_two_process_inference(
     host: str = "127.0.0.1",
     port: Optional[int] = None,
     timeout: float = 300.0,
-    optimize: bool = True,
-    lower: bool = True,
 ) -> TwoProcessResult:
     """Run one private inference with the two parties in separate OS processes.
 
@@ -144,10 +140,7 @@ def run_two_process_inference(
     Ports: with ``port=None`` (the default) party 0 binds an ephemeral port
     and announces the kernel-assigned number over its control pipe before
     party 1 is spawned — end-to-end race-free, so parallel CI jobs cannot
-    collide.  ``optimize`` selects the round-coalescing schedule (default)
-    or the sequential reference execution; ``lower`` additionally binds the
-    schedule to the fused local-compute kernels (bit-identical logits, less
-    CPU per op) and only applies when ``optimize`` is on.
+    collide.
     """
     ring = ring or DEFAULT_RING
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -182,8 +175,6 @@ def run_two_process_inference(
                     seed=seed,
                     input_share=input_share,
                     ring=ring,
-                    optimize=optimize,
-                    lower=lower,
                 )
             )
             pipes.append(parent_conn)
@@ -228,9 +219,7 @@ def run_two_process_inference(
                 process.join(timeout=10.0)
     wall_seconds = time.perf_counter() - start
 
-    plan = compile_plan(spec, batch_size=batch_size, ring=ring)
-    if optimize:
-        plan = optimize_plan(plan, lower=lower)
+    plan = serving_plan(spec, batch_size, ring)
     _check_cross_party_consistency(plan, reports[0], reports[1])
 
     # Client: reconstruct the logits from the two result shares.

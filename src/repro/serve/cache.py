@@ -19,8 +19,7 @@ from typing import Deque, Dict, Optional, Tuple
 import numpy as np
 
 from repro.crypto.dealer import RandomnessPool, TrustedDealer
-from repro.crypto.passes import optimize_plan
-from repro.crypto.plan import compile_plan
+from repro.crypto.passes import serving_plan
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
 from repro.models.specs import ModelSpec
 
@@ -62,12 +61,8 @@ class PlanPoolCache:
         self,
         ring: Optional[FixedPointRing] = None,
         seed: int = 0,
-        optimize: bool = True,
-        lower: bool = True,
     ) -> None:
         self.ring = ring or DEFAULT_RING
-        self.optimize = optimize
-        self.lower = lower
         self.dealer = TrustedDealer(ring=self.ring, seed=seed)
         self.stats = CacheStats()
         self._plans: Dict[Tuple[str, int], object] = {}
@@ -75,22 +70,17 @@ class PlanPoolCache:
         self._lock = threading.Lock()
 
     def plan(self, spec: ModelSpec, batch_size: int):
-        """The compiled plan for ``(spec.name, batch_size)``; compiles once.
+        """The serving plan for ``(spec.name, batch_size)``; compiles once.
 
-        With ``optimize`` (the default) the optimizer pass pipeline runs
-        once at compile time and a round-coalescing
-        :class:`~repro.crypto.passes.ScheduledPlan` is cached; with
-        ``lower`` on top (also the default) the schedule is bound to the
-        fused local-compute kernels and a
-        :class:`~repro.crypto.passes.LoweredPlan` is cached instead.
+        The cached artifact is the round-coalescing, kernel-lowered
+        :class:`~repro.crypto.passes.LoweredPlan` of
+        :func:`repro.crypto.passes.serving_plan`.
         """
         key = (spec.name, batch_size)
         with self._lock:
             plan = self._plans.get(key)
             if plan is None:
-                plan = compile_plan(spec, batch_size=batch_size, ring=self.ring)
-                if self.optimize:
-                    plan = optimize_plan(plan, lower=self.lower)
+                plan = serving_plan(spec, batch_size, self.ring)
                 self._plans[key] = plan
                 self.stats.plans_compiled += 1
             return plan

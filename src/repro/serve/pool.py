@@ -237,7 +237,6 @@ class WorkerShard:
         high_water: int = 3,
         verify: bool = True,
         coalesce_rounds: bool = True,
-        lower_local_compute: bool = True,
         fault_plans: Optional[Dict[int, FaultPlan]] = None,
         initial_counters: Optional[Dict[Tuple[str, int], int]] = None,
         initial_job_id: int = 0,
@@ -292,7 +291,6 @@ class WorkerShard:
             ring=ring,
             verify=verify,
             coalesce_rounds=coalesce_rounds,
-            lower_local_compute=lower_local_compute,
             fault_plans=dict(fault_plans) if fault_plans else None,
             factory_address=factory_address,
             factory_announce_ahead=factory_announce_ahead,
@@ -790,7 +788,6 @@ class ShardedServingPool:
         job_timeout: float = 300.0,
         verify: bool = True,
         coalesce_rounds: bool = True,
-        lower_local_compute: bool = True,
         max_job_retries: int = 2,
         retry_backoff: float = 0.05,
         fault_plans: Optional[Dict[int, Dict[int, FaultPlan]]] = None,
@@ -823,7 +820,6 @@ class ShardedServingPool:
         self.link_latency = link_latency
         self.verify = verify
         self.coalesce_rounds = coalesce_rounds
-        self.lower_local_compute = lower_local_compute
         self.low_water = low_water
         self.high_water = high_water
         self.provision_pools = provision_pools
@@ -925,7 +921,6 @@ class ShardedServingPool:
             high_water=self.high_water,
             verify=self.verify,
             coalesce_rounds=self.coalesce_rounds,
-            lower_local_compute=self.lower_local_compute,
             fault_plans=self._shard_fault_plans(index, inject),
             initial_counters=initial_counters,
             initial_job_id=initial_job_id,

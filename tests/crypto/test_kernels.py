@@ -4,9 +4,9 @@ Key invariants:
 
 - every fused kernel is bit-identical to the reference protocol chain it
   replaces (same uint64 values mod 2^64, per share lane);
-- the protocol entry points take the fused path exactly when a live
+- the protocol entry points take the fused path exactly when a
   :class:`~repro.crypto.kernels.KernelContext` is installed, and fall back
-  to the reference path (bit-identically) when it is absent or disabled;
+  to the reference path (bit-identically) when it is absent;
 - the workspace arena reuses scratch buffers and encoded-constant caches
   across jobs with different seeds without leaking values between them;
 - a :class:`~repro.crypto.passes.LoweredPlan` round-trips through
@@ -86,10 +86,8 @@ class TestRegistry:
         with pytest.raises(ValueError, match="registered twice"):
             register_kernel("truncate-pair")(lambda: None)
 
-    def test_active_kernels_respects_enabled_flag(self):
+    def test_active_kernels_is_the_installed_context(self):
         ctx = make_context()
-        assert active_kernels(ctx) is None
-        ctx.kernels = KernelContext(enabled=False)
         assert active_kernels(ctx) is None
         ctx.kernels = KernelContext()
         assert active_kernels(ctx) is ctx.kernels
@@ -150,29 +148,6 @@ class TestWorkspaceArena:
         assert arena_for(("model", 4)) is not a
         clear_arenas()
         assert arena_for(("model", 2)) is not a
-
-
-class TestFanoutExecutor:
-    def test_single_pool_serves_growing_worker_counts(self):
-        import repro.crypto.kernels as K
-
-        K.clear_executors()
-        rng = np.random.default_rng(3)
-        a = rng.integers(0, 1 << 63, size=(1, 8, 16), dtype=np.uint64)
-        b = rng.integers(0, 1 << 63, size=(4, 16, 2048), dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            expected = np.matmul(a, b)
-        np.testing.assert_array_equal(K._batched_matmul(a, b, 2), expected)
-        pool_two = K._EXECUTOR
-        assert pool_two is not None and K._EXECUTOR_WORKERS == 2
-        # a larger fan-out swaps the pool; a smaller one reuses it
-        np.testing.assert_array_equal(K._batched_matmul(a, b, 4), expected)
-        pool_four = K._EXECUTOR
-        assert pool_four is not pool_two and K._EXECUTOR_WORKERS == 4
-        np.testing.assert_array_equal(K._batched_matmul(a, b, 2), expected)
-        assert K._EXECUTOR is pool_four
-        K.clear_executors()
-        assert K._EXECUTOR is None and K._EXECUTOR_WORKERS == 0
 
 
 class TestFusedKernelsBitIdentical:
@@ -382,24 +357,25 @@ class TestDisabledFallback:
         assert not isinstance(splan, LoweredPlan)
         assert "lower-kernels" not in splan.applied_passes
 
-    def test_disabled_kernel_context_runs_reference_path(self):
-        """A disabled context must leave the lowered plan on the reference
-        path: zero fused calls, logits still bit-identical."""
+    def test_unlowered_plan_runs_reference_path(self):
+        """The un-lowered schedule stays on the reference path (zero fused
+        calls) and its logits equal the lowered plan's bit for bit."""
         spec = vgg_tiny(input_size=8)
         weights = _trained_weights(spec)
         x = np.random.default_rng(12).normal(size=(2, 3, 8, 8))
-        lplan = optimize_plan(compile_plan(spec, batch_size=2), lower=True)
+        plan = compile_plan(spec, batch_size=2)
+        splan = optimize_plan(plan)
+        lplan = optimize_plan(plan, lower=True)
 
-        disabled_engine = SecureInferenceEngine(make_context(seed=31))
-        disabled_engine.ctx.kernels = KernelContext(enabled=False)
-        disabled = disabled_engine.execute(
-            lplan, weights, x, pool=disabled_engine.preprocess(lplan)
+        reference_engine = SecureInferenceEngine(make_context(seed=31))
+        reference = reference_engine.execute(
+            splan, weights, x, pool=reference_engine.preprocess(splan)
         )
-        assert disabled.fused_kernel_calls == 0
+        assert reference.fused_kernel_calls == 0
 
         fused_engine = SecureInferenceEngine(make_context(seed=31))
         fused = fused_engine.execute(
             lplan, weights, x, pool=fused_engine.preprocess(lplan)
         )
         assert fused.fused_kernel_calls > 0
-        np.testing.assert_array_equal(disabled.logits, fused.logits)
+        np.testing.assert_array_equal(reference.logits, fused.logits)

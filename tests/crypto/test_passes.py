@@ -37,7 +37,7 @@ from repro.crypto.passes import (
 )
 from repro.crypto.plan import PLAN_INPUT, InferencePlan, PlanOp, compile_plan
 from repro.crypto.protocols.registry import get_handler
-from repro.crypto.scheduler import run_scheduled_plan
+from repro.crypto.scheduler import run_plan
 from repro.crypto.secure_model import SecureInferenceEngine
 from repro.crypto.sharing import reconstruct, share
 from repro.models.builder import build_model, export_layer_weights
@@ -258,12 +258,8 @@ class TestRoundScheduling:
         x = np.random.default_rng(5).normal(size=plan.input_shape)
         shared = share(x, ctx.ring, ctx.rng)
         pool = TrustedDealer(ring=ctx.ring, seed=3).preprocess(splan)
-        dealer = ctx.dealer
-        ctx.dealer = pool
-        try:
-            out, per_op = run_scheduled_plan(ctx, splan, {}, shared)
-        finally:
-            ctx.dealer = dealer
+        run = run_plan(ctx, splan, {}, shared, pool=pool)
+        out, per_op = run.output, run.per_op_bytes
         # x2act with default params (w1=0, w2=1, b=0) is the identity map,
         # so join = branch_a + branch_b = 2x up to fixed-point noise
         np.testing.assert_allclose(reconstruct(out), 2 * x, atol=1e-3)

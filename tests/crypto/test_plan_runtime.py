@@ -151,6 +151,18 @@ class TestCompiledExecutionEquivalence:
         assert result.communication_rounds == legacy.communication_rounds
         assert result.per_layer_bytes == legacy.per_layer_bytes
 
+    def test_interpretive_run_reports_local_compute(self):
+        """engine.run profiles every layer it executes, like execute does."""
+        spec = vgg_tiny(input_size=8)
+        _, weights = _trained_weights(spec)
+        x = np.random.default_rng(3).normal(size=(1, 3, 8, 8))
+        result = SecureInferenceEngine(make_context(seed=5)).run(spec, weights, x)
+
+        assert list(result.per_op_cpu_ns) == [layer.name for layer in spec.layers]
+        assert sum(result.per_op_cpu_ns.values()) == result.cpu_time_ns
+        assert result.cpu_time_ns > 0
+        assert result.fused_kernel_calls == 0
+
     @pytest.mark.parametrize(
         "build", [vgg_tiny, resnet_tiny], ids=["vgg-tiny", "resnet-tiny"]
     )
