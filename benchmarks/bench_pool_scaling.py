@@ -172,7 +172,6 @@ def run_benchmark(
     input_size: int = 8,
     num_queries: int = 48,
     max_batch: int = 4,
-    max_wait: float = 0.03,
     shard_counts: List[int] = (1, 2, 4),
     link_latency_ms: float = 5.0,
     seed: int = 0,
@@ -220,7 +219,6 @@ def run_benchmark(
     with BatchingFrontend(
         models,
         max_batch=max_batch,
-        max_wait=max_wait,
         provision_pools=max(num_queries // max_batch + 1, 1),
         seed=seed,
     ) as frontend:
@@ -245,7 +243,6 @@ def run_benchmark(
             models,
             num_shards=shards,
             max_batch=max_batch,
-            max_wait=max_wait,
             provision_pools=max_batch,
             high_water=max_batch,
             link_latency=link_latency_ms / 1e3,
@@ -298,7 +295,6 @@ def run_benchmark(
                 models,
                 num_shards=shards,
                 max_batch=max_batch,
-                max_wait=max_wait,
                 provision_pools=max_batch,
                 high_water=max_batch,
                 link_shape=shape,
@@ -357,7 +353,6 @@ def run_benchmark(
         "config": {
             "num_queries": num_queries,
             "max_batch": max_batch,
-            "max_wait_s": max_wait,
             "shard_counts": list(shard_counts),
             "link_latency_ms": link_latency_ms,
             "seed": seed,
@@ -411,7 +406,6 @@ def run_overload_benchmark(
         {model: servable},
         num_shards=shards,
         max_batch=1,  # one query == one job: accepted rows replay exactly
-        max_wait=0.0,
         provision_pools=2,
         seed=seed,
         queue_budget=queue_budget,
@@ -568,7 +562,6 @@ def main() -> None:
     parser.add_argument("--input-size", type=int, default=8)
     parser.add_argument("--queries", type=int, default=48)
     parser.add_argument("--max-batch", type=int, default=4)
-    parser.add_argument("--max-wait", type=float, default=0.03)
     parser.add_argument(
         "--shards", default="1,2,4",
         help="comma-separated shard counts to sweep (e.g. 1,2,4)",
@@ -678,7 +671,6 @@ def main() -> None:
         input_size=args.input_size,
         num_queries=args.queries,
         max_batch=args.max_batch,
-        max_wait=args.max_wait,
         shard_counts=shard_counts,
         link_latency_ms=args.link_latency_ms,
         skip_zoo_check=args.skip_zoo_check,

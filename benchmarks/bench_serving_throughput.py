@@ -39,7 +39,6 @@ def run_benchmark(
     input_size: int = 8,
     num_queries: int = 32,
     max_batch: int = 8,
-    max_wait: float = 0.02,
     seed: int = 0,
 ) -> dict:
     seed_everything(1)
@@ -71,7 +70,6 @@ def run_benchmark(
     frontend = BatchingFrontend(
         {model: ServableModel(spec, weights)},
         max_batch=max_batch,
-        max_wait=max_wait,
         provision_pools=max(num_queries // max_batch + 1, 1),
         seed=seed,
     )
@@ -108,14 +106,12 @@ def run_benchmark(
         "config": {
             "num_queries": num_queries,
             "max_batch": max_batch,
-            "max_wait_s": max_wait,
             "seed": seed,
         },
         "paths": {"sequential": sequential, "batched-1worker": batched},
         "workers": [],  # in-process backend: no party workers
         "num_queries": num_queries,
         "max_batch": max_batch,
-        "max_wait_s": max_wait,
         "sequential": sequential,
         "batched": batched,
         "throughput_speedup": seq_seconds / batch_seconds,
@@ -128,7 +124,6 @@ def main() -> None:
     parser.add_argument("--input-size", type=int, default=8)
     parser.add_argument("--queries", type=int, default=32)
     parser.add_argument("--max-batch", type=int, default=8)
-    parser.add_argument("--max-wait", type=float, default=0.02)
     parser.add_argument("--json", dest="json_path", default=None)
     args = parser.parse_args()
 
@@ -137,7 +132,6 @@ def main() -> None:
         input_size=args.input_size,
         num_queries=args.queries,
         max_batch=args.max_batch,
-        max_wait=args.max_wait,
     )
 
     seq = report["sequential"]

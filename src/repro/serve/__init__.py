@@ -9,10 +9,11 @@ and the runtime:
   pre-provisioned randomness pools cached per ``(model, batch_size)``, so
   the serving hot path never compiles and (when provisioned ahead) never
   runs the dealer;
-- :class:`~repro.serve.frontend.BatchingFrontend` — a request queue that
-  coalesces incoming queries up to ``(max_batch, max_wait)`` and dispatches
-  each coalesced batch through a single plan execution, resolving one future
-  per query and recording queue/serve latency percentiles;
+- :class:`~repro.serve.frontend.BatchingFrontend` — a work-conserving
+  request queue: a batch runs the moment the backend has a free slot,
+  queries coalesce up to ``max_batch`` only while every slot is busy, and
+  each batch is a single plan execution, resolving one future per query
+  and recording queue/serve latency percentiles;
 - :class:`~repro.serve.pool.ShardedServingPool` — N persistent two-process
   worker pairs behind the same coalescing frontend: batches route to idle
   shards, party servers keep randomness buffers filled in the background,

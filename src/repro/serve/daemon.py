@@ -453,15 +453,12 @@ class ServingDaemon:
     ) -> None:
         request_id = request.get("id")
         model = str(request.get("model", ""))
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 4:
-            await conn.send_json(
-                {
-                    "kind": "error",
-                    "id": request_id,
-                    "error": f"submit expects a (N, C, H, W) stack, got {queries.shape}",
-                }
-            )
+        # a malformed request is answered before admission: it must neither
+        # occupy queue budget nor reach the pool
+        try:
+            queries = self.pool.frontend.check_stack(model, queries)
+        except (KeyError, ValueError) as exc:
+            await conn.send_json({"kind": "error", "id": request_id, "error": exc.args[0]})
             return
         count = int(queries.shape[0])
         decision = self.admission.try_admit(model, count)

@@ -1,22 +1,29 @@
 """Batching request frontend for the secure-inference runtime.
 
-Clients submit single queries; a dispatcher thread coalesces queued queries
-for the same model up to ``max_batch`` (or until the oldest waiting query
-has waited ``max_wait`` seconds), stacks them into one batch, and runs a
-single plan execution against a cached plan + pre-provisioned randomness
-pool.  Each query resolves to its own :class:`ServedResult` future.
+Clients submit queries; a dispatcher thread stacks queued queries for the
+same model into one batch of at most ``max_batch`` and runs a single plan
+execution against a cached plan + pre-provisioned randomness pool.  Each
+query resolves to its own :class:`ServedResult` future.
 
-Batching is the amortization lever of the plan runtime (one communication
-round trip per protocol op regardless of batch size), so throughput scales
-with the coalesced batch size while per-query latency only pays the small
-coalescing wait — :mod:`benchmarks.bench_serving_throughput` measures both.
+Dispatch is work-conserving: a batch leaves the queue the moment the
+backend has a free slot, so a query that arrives at an idle backend runs
+at once.  Queries coalesce only while every slot is busy, and the batch
+that forms behind the busy slots runs as soon as one frees up.  A stack
+submitted by :meth:`BatchingFrontend.submit_many` is queued as one group
+that is never split across batches unless it exceeds ``max_batch`` (then
+it is cut into ``max_batch`` chunks).  Batching is the amortization lever
+of the plan runtime (one communication round trip per protocol op
+regardless of batch size); :mod:`benchmarks.bench_serving_throughput`
+measures it.
 
-Execution is pluggable: coalescing, future bookkeeping and statistics live
-here, while the two overridable hooks :meth:`BatchingFrontend._dispatch_batch`
-(where a coalesced batch runs: inline by default, handed to a shard pool by
-:mod:`repro.serve.pool`) and :meth:`BatchingFrontend._run_batch` (how it
-runs: the in-process engine by default, a persistent worker pair in the
-pool) let backends swap in without touching the queueing logic.
+Execution is pluggable: queueing, future bookkeeping and statistics live
+here, while three overridable hooks let backends swap in without touching
+the queueing logic: :meth:`BatchingFrontend._capacity` (how many batches
+may run at once: 1 by default, the live shard count in the pool),
+:meth:`BatchingFrontend._dispatch_batch` (where a batch runs: inline by
+default, handed to a shard by :mod:`repro.serve.pool`) and
+:meth:`BatchingFrontend._run_batch` (how it runs: the in-process engine by
+default, a persistent worker pair in the pool).
 
 Invariants:
 
@@ -37,8 +44,7 @@ import time
 from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
-from queue import Empty, Queue
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -162,13 +168,11 @@ class _PendingQuery:
 
 
 class BatchingFrontend:
-    """Coalescing request queue in front of the compiled-plan engine.
+    """Work-conserving request queue in front of the compiled-plan engine.
 
     Args:
         models: the deployable model zoo, keyed by the name clients use.
         max_batch: hard cap on queries coalesced into one plan execution.
-        max_wait: seconds the oldest queued query may wait before its batch
-            is dispatched even if not full — the latency/throughput knob.
         provision_pools: pools to pre-generate per model at ``max_batch``
             (and at batch size 1) during startup, off the serving path.
         seed: session seed for the serving context and dealer.
@@ -179,18 +183,14 @@ class BatchingFrontend:
         self,
         models: Dict[str, ServableModel],
         max_batch: int = 8,
-        max_wait: float = 0.01,
         provision_pools: int = 0,
         seed: int = 0,
         ring: Optional[FixedPointRing] = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait < 0:
-            raise ValueError(f"max_wait must be >= 0, got {max_wait}")
         self.models = dict(models)
         self.max_batch = max_batch
-        self.max_wait = max_wait
         # Engine and cache are built on first use: a subclass that overrides
         # _run_batch with a remote backend (the shard pool) never constructs
         # the in-process engine/dealer at all.
@@ -199,14 +199,18 @@ class BatchingFrontend:
         self._engine: Optional[SecureInferenceEngine] = None
         self._cache: Optional[PlanPoolCache] = None
         self.stats = ServingStats()
-        self._queue: "Queue[Optional[_PendingQuery]]" = Queue()
         self._stats_lock = threading.Lock()
-        self._lifecycle_lock = threading.Lock()
+        # One condition guards the queued groups, the closed flag, the count
+        # of batches in flight and the unresolved queries.  The dispatcher
+        # waits on it for a submit, a batch completion, a capacity change or
+        # close(); close() waits on it for the drain.
+        self._cond = threading.Condition()
+        self._pending: List[List[_PendingQuery]] = []
+        self._batches_in_flight = 0
         # Every accepted query lives here until its future resolves, so
         # close() can fail stragglers promptly instead of leaving them to
         # hang when shards die during the drain.
-        self._inflight: Dict[int, _PendingQuery] = {}
-        self._inflight_lock = threading.Lock()
+        self._unresolved: Dict[int, _PendingQuery] = {}
         self._closed = False
         if provision_pools:
             for servable in self.models.values():
@@ -244,42 +248,54 @@ class BatchingFrontend:
     # ------------------------------------------------------------------ #
     def submit(self, model: str, query: np.ndarray) -> "Future[ServedResult]":
         """Enqueue one query (CHW, no batch dimension); returns a future."""
+        return self.submit_many(model, np.asarray(query)[None])[0]
+
+    def submit_many(
+        self, model: str, queries: np.ndarray
+    ) -> List["Future[ServedResult]"]:
+        """Enqueue a stack of queries (NCHW) as one group; one future each.
+
+        The group is queued atomically: it runs in one batch (possibly
+        alongside other groups) unless it is larger than ``max_batch``, in
+        which case it is cut into chunks of ``max_batch``.
+        """
         if self._closed:
             raise RuntimeError("frontend is closed")
+        queries = self.check_stack(model, queries)
+        now = time.perf_counter()
+        with self._stats_lock:
+            if self.stats.first_submit is None:
+                self.stats.first_submit = now
+        items = [_PendingQuery(model, query, Future(), now) for query in queries]
+        # The closed check and the enqueue are atomic w.r.t. close(), so a
+        # query can never land in the queue after the shutdown drain.
+        with self._cond:
+            if self._closed:
+                raise RuntimeError("frontend is closed")
+            for item in items:
+                self._unresolved[id(item)] = item
+            for start in range(0, len(items), self.max_batch):
+                self._pending.append(items[start : start + self.max_batch])
+            self._cond.notify_all()
+        return [item.future for item in items]
+
+    def check_stack(self, model: str, queries: np.ndarray) -> np.ndarray:
+        """The stack as float64 if it can be served; raises ``KeyError`` for
+        an unknown model and ``ValueError`` for an empty or misshapen stack."""
         servable = self.models.get(model)
         if servable is None:
             raise KeyError(
                 f"unknown model {model!r}; deployed: {sorted(self.models)}"
             )
-        query = np.asarray(query, dtype=np.float64)
+        queries = np.asarray(queries, dtype=np.float64)
         spec = servable.spec
         expected = (spec.in_channels, spec.input_size, spec.input_size)
-        if query.shape != expected:
+        if queries.ndim != 4 or queries.shape[0] < 1 or queries.shape[1:] != expected:
             raise ValueError(
                 f"model {model!r} expects a query of shape {expected}, "
-                f"got {query.shape}"
+                f"got a stack of shape {queries.shape}"
             )
-        now = time.perf_counter()
-        with self._stats_lock:
-            if self.stats.first_submit is None:
-                self.stats.first_submit = now
-        future: "Future[ServedResult]" = Future()
-        item = _PendingQuery(model, query, future, now)
-        # The closed check and the enqueue are atomic w.r.t. close(), so a
-        # query can never land in the queue after the shutdown drain.
-        with self._lifecycle_lock:
-            if self._closed:
-                raise RuntimeError("frontend is closed")
-            with self._inflight_lock:
-                self._inflight[id(item)] = item
-            self._queue.put(item)
-        return future
-
-    def submit_many(
-        self, model: str, queries: np.ndarray
-    ) -> List["Future[ServedResult]"]:
-        """Enqueue a stack of queries individually (they may be re-batched)."""
-        return [self.submit(model, query) for query in np.asarray(queries)]
+        return queries
 
     def close(self, timeout: float = 30.0) -> None:
         """Drain the queue, stop the dispatcher and reject new submissions.
@@ -289,29 +305,38 @@ class BatchingFrontend:
         :class:`PoolShutdown` (queue position + elapsed wait) rather than
         hanging forever on a backend that died mid-drain.
         """
-        with self._lifecycle_lock:
+        with self._cond:
             if self._closed:
                 return
             self._closed = True
-            self._queue.put(None)  # shutdown sentinel, after the last query
+            self._cond.notify_all()
         deadline = time.monotonic() + timeout
         self._dispatcher.join(timeout=timeout)
         # Batches handed off to an asynchronous backend may still be
         # executing legitimately; give the drain the rest of the budget,
         # then fail whatever is left promptly.
-        while time.monotonic() < deadline:
-            with self._inflight_lock:
-                if not self._inflight:
-                    return
-            time.sleep(0.02)
-        self._fail_stragglers()
+        with self._cond:
+            drained = self._cond.wait_for(
+                lambda: not self._unresolved,
+                timeout=max(deadline - time.monotonic(), 0.0),
+            )
+        if not drained:
+            self._fail_stragglers()
+
+    def capacity_changed(self) -> None:
+        """Wake the dispatcher: the backend may have gained a free slot."""
+        with self._cond:
+            self._cond.notify_all()
 
     def _fail_stragglers(self) -> None:
-        with self._inflight_lock:
+        with self._cond:
             stragglers = sorted(
-                self._inflight.values(), key=lambda item: item.submitted_at
+                self._unresolved.values(), key=lambda item: item.submitted_at
             )
-            self._inflight.clear()
+            self._unresolved.clear()
+            # what is still queued is failed here; the dispatcher then exits
+            self._pending.clear()
+            self._cond.notify_all()
         now = time.perf_counter()
         failed = 0
         for position, item in enumerate(stragglers):
@@ -339,70 +364,57 @@ class BatchingFrontend:
     # Dispatcher
     # ------------------------------------------------------------------ #
     def _dispatch_loop(self) -> None:
-        pending: Dict[str, List[_PendingQuery]] = {}
-        running = True
-        while running or any(pending.values()):
-            timeout = self._next_deadline_in(pending) if running else 0.0
-            item: Optional[_PendingQuery] = None
-            if running:
-                try:
-                    item = self._queue.get(timeout=max(timeout, 1e-4))
-                except Empty:
-                    item = None
-                if item is None and not self._queue.empty():
-                    continue
-            if item is None and running and self._closed:
-                running = False
-            elif item is None and running:
-                pass
-            elif item is None:
-                running = False
+        while True:
+            with self._cond:
+                self._cond.wait_for(self._can_dispatch)
+                if not self._pending:
+                    return  # closed and drained
+                model, batch = self._take_batch()
+                self._batches_in_flight += 1
+            self._dispatch_batch(model, batch)
+
+    def _can_dispatch(self) -> bool:
+        if self._pending:
+            return self._batches_in_flight < self._capacity()
+        return self._closed
+
+    def _take_batch(self) -> Tuple[str, List[_PendingQuery]]:
+        """Pop the oldest group plus the later groups of its model that fit.
+
+        Groups of one model are packed in FIFO order until the next one
+        would overflow ``max_batch``; other models' groups keep their place.
+        """
+        model = self._pending[0][0].model
+        batch: List[_PendingQuery] = []
+        kept: List[List[_PendingQuery]] = []
+        for index, group in enumerate(self._pending):
+            if group[0].model != model:
+                kept.append(group)
+            elif len(batch) + len(group) <= self.max_batch:
+                batch.extend(group)
             else:
-                pending.setdefault(item.model, []).append(item)
-            if not running:
-                # Shutdown: drain whatever is still queued, then flush all.
-                while True:
-                    try:
-                        leftover = self._queue.get_nowait()
-                    except Empty:
-                        break
-                    if leftover is not None:
-                        pending.setdefault(leftover.model, []).append(leftover)
-            self._flush_ready(pending, force=not running)
-
-    def _next_deadline_in(self, pending: Dict[str, List[_PendingQuery]]) -> float:
-        deadlines = [
-            bucket[0].submitted_at + self.max_wait
-            for bucket in pending.values()
-            if bucket
-        ]
-        if not deadlines:
-            return 0.05
-        return max(min(deadlines) - time.perf_counter(), 0.0)
-
-    def _flush_ready(
-        self, pending: Dict[str, List[_PendingQuery]], force: bool
-    ) -> None:
-        now = time.perf_counter()
-        for model, bucket in pending.items():
-            while bucket and (
-                force
-                or len(bucket) >= self.max_batch
-                or now - bucket[0].submitted_at >= self.max_wait
-            ):
-                batch = bucket[: self.max_batch]
-                del bucket[: self.max_batch]
-                self._dispatch_batch(model, batch)
+                kept.extend(self._pending[index:])
+                break
+        self._pending = kept
+        return model, batch
 
     # ------------------------------------------------------------------ #
     # Backend hooks
     # ------------------------------------------------------------------ #
+    def _capacity(self) -> int:
+        """How many batches the backend can run at once.
+
+        The default runs each batch inline on the dispatcher thread, so one;
+        the shard pool overrides this with its live shard count.
+        """
+        return 1
+
     def _dispatch_batch(self, model: str, batch: List[_PendingQuery]) -> None:
         """Where a coalesced batch runs.
 
         The default executes inline on the dispatcher thread; an
         asynchronous backend (the shard pool) overrides this to hand the
-        batch off so coalescing continues while shards work.
+        batch off so dispatching continues while shards work.
         """
         self._execute_batch(model, batch)
 
@@ -425,57 +437,57 @@ class BatchingFrontend:
         )
 
     def _execute_batch(self, model: str, batch: List[_PendingQuery]) -> None:
-        servable = self.models[model]
-        batch_size = len(batch)
         try:
-            inputs = np.stack([item.query for item in batch])
-            outcome = self._run_batch(model, servable, inputs)
-        except Exception as exc:
+            servable = self.models[model]
+            batch_size = len(batch)
+            try:
+                inputs = np.stack([item.query for item in batch])
+                outcome = self._run_batch(model, servable, inputs)
+            except Exception as exc:
+                with self._stats_lock:
+                    self.stats.queries_failed += len(batch)
+                for position, item in enumerate(batch):
+                    err = exc
+                    if isinstance(exc, PoolShutdown) and exc.queue_position < 0:
+                        # enrich the pool-level shutdown with this query's view
+                        err = PoolShutdown(
+                            str(exc),
+                            queue_position=position,
+                            elapsed_seconds=time.perf_counter() - item.submitted_at,
+                        )
+                    _resolve(item.future, exception=err)
+                return
+            done = time.perf_counter()
+            predictions = outcome.logits.argmax(axis=1)
             with self._stats_lock:
-                self.stats.queries_failed += len(batch)
-            for position, item in enumerate(batch):
-                err = exc
-                if isinstance(exc, PoolShutdown) and exc.queue_position < 0:
-                    # enrich the pool-level shutdown with this query's view
-                    err = PoolShutdown(
-                        str(exc),
-                        queue_position=position,
-                        elapsed_seconds=time.perf_counter() - item.submitted_at,
-                    )
-                _resolve(item.future, exception=err)
-            self._forget(batch)
-            return
-        done = time.perf_counter()
-        predictions = outcome.logits.argmax(axis=1)
-        with self._stats_lock:
-            self.stats.batches_dispatched += 1
-            self.stats.queries_completed += batch_size
-            self.stats.batch_size_histogram[batch_size] = (
-                self.stats.batch_size_histogram.get(batch_size, 0) + 1
-            )
-            self.stats.last_complete = done
-            for item in batch:
-                self.stats.latencies_seconds.append(done - item.submitted_at)
-        for row, item in enumerate(batch):
-            _resolve(
-                item.future,
-                result=ServedResult(
-                    logits=outcome.logits[row],
-                    predicted_class=int(predictions[row]),
-                    model=model,
-                    batch_size=batch_size,
-                    latency_seconds=done - item.submitted_at,
-                    online_bytes_per_query=outcome.online_bytes_per_query,
-                    shard=outcome.shard,
-                    job_seed=outcome.job_seed,
-                ),
-            )
-        self._forget(batch)
-
-    def _forget(self, batch: List[_PendingQuery]) -> None:
-        with self._inflight_lock:
-            for item in batch:
-                self._inflight.pop(id(item), None)
+                self.stats.batches_dispatched += 1
+                self.stats.queries_completed += batch_size
+                self.stats.batch_size_histogram[batch_size] = (
+                    self.stats.batch_size_histogram.get(batch_size, 0) + 1
+                )
+                self.stats.last_complete = done
+                for item in batch:
+                    self.stats.latencies_seconds.append(done - item.submitted_at)
+            for row, item in enumerate(batch):
+                _resolve(
+                    item.future,
+                    result=ServedResult(
+                        logits=outcome.logits[row],
+                        predicted_class=int(predictions[row]),
+                        model=model,
+                        batch_size=batch_size,
+                        latency_seconds=done - item.submitted_at,
+                        online_bytes_per_query=outcome.online_bytes_per_query,
+                        shard=outcome.shard,
+                        job_seed=outcome.job_seed,
+                    ),
+                )
+        finally:
+            with self._cond:
+                for item in batch:
+                    self._unresolved.pop(id(item), None)
+                self._batches_in_flight -= 1
+                self._cond.notify_all()
 
 
 def _resolve(future: "Future[ServedResult]", result=None, exception=None) -> bool:

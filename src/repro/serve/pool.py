@@ -4,9 +4,9 @@ One two-process worker pair executes one plan at a time — its throughput is
 bounded by the round-trip-heavy online phase.  The pool scales horizontally:
 ``num_shards`` worker pairs (each a pair of long-lived
 :func:`repro.runtime.server.run_party_server` processes over one persistent
-TCP connection), a dispatcher that routes coalesced batches to idle shards,
-and the existing :class:`~repro.serve.frontend.BatchingFrontend` coalescing
-in front of it all.
+TCP connection) behind the :class:`~repro.serve.frontend.BatchingFrontend`,
+whose dispatcher hands a batch to a shard the moment one is free and
+coalesces queries only while every live shard is busy.
 
 Lifecycle of a shard:
 
@@ -705,9 +705,14 @@ class _PoolFrontend(BatchingFrontend):
         self._pool = pool
         super().__init__(**kwargs)
 
+    def _capacity(self) -> int:
+        # At least one, so a batch always reaches _acquire_shard: it waits
+        # out a respawn there, or fails with "no live shards remain".
+        return max(self._pool.live_shards, 1)
+
     def _dispatch_batch(self, model: str, batch: List[_PendingQuery]) -> None:
-        # Hand off to a pool worker thread so the coalescing loop keeps
-        # draining the queue while shards execute concurrently.
+        # Hand off to a pool worker thread so the dispatcher keeps filling
+        # free shards while others execute.
         try:
             self._pool._executor.submit(self._execute_batch, model, batch)
         except RuntimeError:
@@ -736,7 +741,8 @@ class ShardedServingPool:
         models: the deployable model zoo, keyed by the name clients use.
         num_shards: worker pairs to boot (two OS processes each, spawned
             once — the serving path never spawns).
-        max_batch / max_wait: the frontend's coalescing knobs.
+        max_batch: the frontend's coalescing cap; a batch runs as soon as
+            a shard is free, and queries coalesce only while all are busy.
         provision_pools: randomness pools to pre-buffer per warm key at
             boot; each party's background provisioner keeps refilling
             between ``low_water`` and ``high_water`` afterwards.
@@ -776,7 +782,6 @@ class ShardedServingPool:
         models: Dict[str, ServableModel],
         num_shards: int = 2,
         max_batch: int = 8,
-        max_wait: float = 0.01,
         provision_pools: int = 2,
         warm_batch_sizes: Optional[Tuple[int, ...]] = None,
         low_water: int = 1,
@@ -870,7 +875,6 @@ class ShardedServingPool:
             self,
             models=self.models,
             max_batch=max_batch,
-            max_wait=max_wait,
             provision_pools=0,  # provisioning lives in the party servers
             seed=seed,
             ring=self.ring,
@@ -979,7 +983,7 @@ class ShardedServingPool:
             if closed:
                 shard.kill()
                 return None
-            self._idle.put(shard)
+            self._enlist(shard)
             return index
 
         if wait:
@@ -1050,7 +1054,7 @@ class ShardedServingPool:
                 self._shards[index] = shard
             # enqueue only after the slot is registered, so live_shards
             # cannot report 0 while the replacement is idle and serviceable
-            self._idle.put(shard)
+            self._enlist(shard)
         finally:
             with self._shard_lock:
                 self._restarting.discard(index)
@@ -1094,7 +1098,7 @@ class ShardedServingPool:
             if closed:
                 replacement.kill()
             else:
-                self._idle.put(replacement)
+                self._enlist(replacement)
 
         thread = threading.Thread(
             target=_boot, name=f"respawn-shard{index}", daemon=True
@@ -1105,6 +1109,12 @@ class ShardedServingPool:
             ]
             self._respawn_threads.append(thread)
         thread.start()
+
+    def _enlist(self, shard: WorkerShard) -> None:
+        """Put a registered shard into rotation; the frontend's dispatcher
+        may now run one more batch at once."""
+        self._idle.put(shard)
+        self.frontend.capacity_changed()
 
     def _acquire_shard(self) -> WorkerShard:
         deadline = time.monotonic() + self.job_timeout

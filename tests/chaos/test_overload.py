@@ -60,7 +60,6 @@ class TestSustainedOverload:
             tiny_zoo,
             num_shards=1,
             max_batch=1,  # one query == one job: per-client replay is exact
-            max_wait=0.0,
             seed=CHAOS_POOL_SEED,
             job_timeout=120,
             queue_budget=2,  # tiny budget: overload *must* shed
@@ -142,7 +141,6 @@ class TestKillMidRamp:
             {name: tiny_zoo[name]},
             num_shards=1,
             max_batch=1,
-            max_wait=0.0,
             seed=CHAOS_POOL_SEED,
             job_timeout=120,
             max_job_retries=3,

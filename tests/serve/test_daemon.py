@@ -64,7 +64,7 @@ class TestServingDaemon:
     def test_daemon_serves_bit_identical_logits(self, servable):
         queries = np.random.default_rng(5).normal(size=(4, 3, 8, 8))
         with ServingDaemon(
-            {"vgg": servable}, num_shards=1, max_batch=4, max_wait=0.01, seed=21
+            {"vgg": servable}, num_shards=1, max_batch=4, seed=21
         ) as daemon:
             with DaemonClient(*daemon.address) as client:
                 result = client.infer("vgg", queries)
@@ -139,6 +139,25 @@ class TestServingDaemon:
                 # the connection survives the rejected request
                 assert client.ping()
 
+    def test_malformed_stacks_are_rejected_before_admission(self, servable):
+        """An empty stack or an unknown model gets an error reply at once
+        and never holds queue budget."""
+        with ServingDaemon(
+            {"vgg": servable}, num_shards=1, max_batch=2, seed=25
+        ) as daemon:
+            with DaemonClient(*daemon.address, timeout=2.0) as client:
+                with pytest.raises(RuntimeError, match="stack"):
+                    client.infer("vgg", np.zeros((0, 3, 8, 8)))
+                with pytest.raises(RuntimeError, match="stack"):
+                    client.infer("vgg", np.zeros((1, 3, 4, 4)))
+                with pytest.raises(RuntimeError, match="unknown model"):
+                    client.infer("not-deployed", np.zeros((1, 3, 8, 8)))
+                assert client.ping()
+            admission = daemon.admission.snapshot()
+            assert admission["queue_depth"] == 0
+            assert admission["jobs_admitted"] == 0
+            assert daemon.counters.snapshot()["client_failures"] == 0
+
 
 class TestPoolShutdownError:
     def test_close_fails_pending_futures_with_diagnosable_error(self, servable):
@@ -151,7 +170,7 @@ class TestPoolShutdownError:
                 release.wait(timeout=30.0)
                 raise RuntimeError("backend gone")
 
-        frontend = WedgedFrontend({"vgg": servable}, max_batch=1, max_wait=0.0)
+        frontend = WedgedFrontend({"vgg": servable}, max_batch=1)
         futures = [
             frontend.submit("vgg", np.zeros((3, 8, 8))) for _ in range(3)
         ]
@@ -179,7 +198,6 @@ class TestPoolShutdownError:
             {"vgg": servable},
             num_shards=1,
             max_batch=1,
-            max_wait=0.0,
             seed=26,
             max_job_retries=0,
             job_timeout=120.0,

@@ -51,7 +51,6 @@ class TestShardedServing:
             {"vgg": servable},
             num_shards=2,
             max_batch=2,
-            max_wait=0.02,
             provision_pools=2,
             seed=3,
         ) as pool:
@@ -114,7 +113,6 @@ class TestShardedServing:
             {"vgg": servable},
             num_shards=2,
             max_batch=2,
-            max_wait=0.01,
             provision_pools=0,
             seed=6,
             job_timeout=60,
